@@ -3,6 +3,7 @@
 
 use compat::chan::OnceTimeout;
 use compat::error::PipelineError;
+use compat::hash::{mix64, Fnv1a};
 use dvfs_energy_model::GridPrediction;
 use dvfs_governor::PhasePlan;
 use std::time::{Duration, Instant};
@@ -39,21 +40,18 @@ impl ModelKey {
 
     /// FNV-1a hash of the platform id, folded into shard routing.
     pub fn device_id_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &b in self.device_id.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        Fnv1a::new().bytes(self.device_id.as_bytes()).finish()
     }
 
     /// Content hash of the whole key — the chaos layer's storm subject.
     /// Pure in the key's fields, so a storm covers the same models no
     /// matter which shard fits them.
     pub fn chaos_subject(&self) -> u64 {
-        let mut h = self.device_id_hash();
-        h = fnv1a_u64(h, self.device_seed);
-        fnv1a_u64(h, self.fault_key)
+        Fnv1a::new()
+            .bytes(self.device_id.as_bytes())
+            .u64_bytes(self.device_seed)
+            .u64_bytes(self.fault_key)
+            .finish()
     }
 }
 
@@ -86,7 +84,9 @@ pub enum WorkloadSpec {
         /// Number of source/target points (clamped to the service's
         /// supported range at lowering).
         n: usize,
-        /// Multipole expansion order (clamped likewise).
+        /// Leaf size: the most points a leaf box may hold before the
+        /// octree splits it (`FmmPlan::new`'s `q`; clamped likewise).
+        /// The multipole order is fixed by the lowering.
         q: usize,
         /// Seed of the synthetic point distribution.
         seed: u64,
@@ -115,29 +115,21 @@ impl TuneRequest {
     /// shard, no attempt), which is what makes a chaos soak's outcomes
     /// identical across 1/2/4/8 shards and any retry interleaving.
     pub fn chaos_key(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &b in self.device_id.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h = fnv1a_u64(h, self.device_seed);
+        let mut h = Fnv1a::new();
+        h.bytes(self.device_id.as_bytes()).u64_bytes(self.device_seed);
         match &self.workload {
             WorkloadSpec::Kernel { ops, utilization, launches } => {
-                h = fnv1a_u64(h, 1);
+                h.u64_bytes(1);
                 for c in tk1_sim::ALL_CLASSES {
-                    h = fnv1a_u64(h, ops.get(c).to_bits());
+                    h.u64_bytes(ops.get(c).to_bits());
                 }
-                h = fnv1a_u64(h, utilization.to_bits());
-                h = fnv1a_u64(h, *launches as u64);
+                h.u64_bytes(utilization.to_bits()).u64_bytes(*launches as u64);
             }
             WorkloadSpec::Fmm { n, q, seed } => {
-                h = fnv1a_u64(h, 2);
-                h = fnv1a_u64(h, *n as u64);
-                h = fnv1a_u64(h, *q as u64);
-                h = fnv1a_u64(h, *seed);
+                h.u64_bytes(2).u64_bytes(*n as u64).u64_bytes(*q as u64).u64_bytes(*seed);
             }
         }
-        fnv1a_u64(h, self.plan_rounds as u64)
+        h.u64_bytes(self.plan_rounds as u64).finish()
     }
 }
 
@@ -199,30 +191,21 @@ impl TuneResponse {
     /// flag.  `cache_hit` is excluded, so a cache-hit answer digests
     /// identically to the cold-fit answer it must match bitwise.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv1a_u64(h, self.best.setting.core_idx as u64);
-        h = fnv1a_u64(h, self.best.setting.mem_idx as u64);
-        for p in &self.grid {
-            h = fnv1a_u64(h, p.setting.core_idx as u64);
-            h = fnv1a_u64(h, p.setting.mem_idx as u64);
-            h = fnv1a_u64(h, p.time_s.to_bits());
-            h = fnv1a_u64(h, p.energy_j.to_bits());
-        }
+        let mut h = grid_digest(&self.best.setting, &self.grid);
         if let Some(plan) = &self.plan {
             for s in &plan.settings {
-                h = fnv1a_u64(h, s.core_idx as u64);
-                h = fnv1a_u64(h, s.mem_idx as u64);
+                h.u64_bytes(s.core_idx as u64).u64_bytes(s.mem_idx as u64);
             }
-            h = fnv1a_u64(h, plan.predicted_total_j.to_bits());
+            h.u64_bytes(plan.predicted_total_j.to_bits());
         }
-        h = fnv1a_u64(h, self.degraded as u64);
+        h.u64_bytes(self.degraded as u64);
         // The ladder rung is answer content, but `None` is deliberately
         // not folded: chaos-off digests must stay bitwise identical to
         // the pre-resilience service.
         if self.degrade != DegradeLevel::None {
-            h = fnv1a_u64(h, 0xDE64_ADE0 ^ self.degrade.code());
+            h.u64_bytes(0xDE64_ADE0 ^ self.degrade.code());
         }
-        h
+        h.finish()
     }
 }
 
@@ -306,26 +289,18 @@ impl Ticket {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over the 8 bytes of `v`.
-fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// The FNV-1a prefix of [`TuneResponse::digest`]: the best setting,
+/// then every grid estimate by index and f64 bit pattern.
+fn grid_digest(best: &tk1_sim::Setting, grid: &[GridPrediction]) -> Fnv1a {
+    let mut h = Fnv1a::new();
+    h.u64_bytes(best.core_idx as u64).u64_bytes(best.mem_idx as u64);
+    for p in grid {
+        h.u64_bytes(p.setting.core_idx as u64)
+            .u64_bytes(p.setting.mem_idx as u64)
+            .u64_bytes(p.time_s.to_bits())
+            .u64_bytes(p.energy_j.to_bits());
     }
     h
-}
-
-/// SplitMix64 finalizer — the workspace's standard bit mixer, used here
-/// for shard routing and for folding per-request digests into one
-/// order-insensitive run digest.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Folds one response into an order-insensitive run digest: XOR of
@@ -378,16 +353,7 @@ mod tests {
         let a = response();
         // `None` must digest exactly as the pre-ladder encoding did:
         // the golden soak digest depends on this.
-        let mut h = super::FNV_OFFSET;
-        h = super::fnv1a_u64(h, a.best.setting.core_idx as u64);
-        h = super::fnv1a_u64(h, a.best.setting.mem_idx as u64);
-        for p in &a.grid {
-            h = super::fnv1a_u64(h, p.setting.core_idx as u64);
-            h = super::fnv1a_u64(h, p.setting.mem_idx as u64);
-            h = super::fnv1a_u64(h, p.time_s.to_bits());
-            h = super::fnv1a_u64(h, p.energy_j.to_bits());
-        }
-        h = super::fnv1a_u64(h, 0);
+        let h = super::grid_digest(&a.best.setting, &a.grid).u64_bytes(0).finish();
         assert_eq!(a.digest(), h, "None adds nothing to the digest");
         // Every real rung is distinct answer content.
         let rungs =

@@ -22,7 +22,8 @@ const RIG_FAULT_STREAM: u64 = 0xD2_17;
 
 /// FMM problem sizes the service lowers; out-of-range requests clamp.
 const FMM_N_RANGE: (usize, usize) = (1024, 1 << 16);
-/// Multipole orders the service lowers; out-of-range requests clamp.
+/// Leaf sizes (max points per leaf) the service lowers; out-of-range
+/// requests clamp.
 const FMM_Q_RANGE: (usize, usize) = (2, 12);
 
 /// One fitted rig: the model, the timing ground truth of its device,

@@ -13,16 +13,13 @@
 //! Usage: `bench_snapshot [--out FILE] [--reps K] [--sizes N1,N2,...]
 //! [--threads T1,T2,...]`
 //!
-//! `bench_snapshot --check FILE` instead validates that `FILE` parses
-//! with the in-tree JSON reader and has the expected shape — the CI
-//! mode used by `scripts/ci.sh --with-snapshot`.
-//!
-//! `bench_snapshot --check-fmm FILE [--baseline-fmm BASE]` goes
-//! further: shape, positive timings, per-size digest agreement (the
-//! bitwise thread-invariance claim), grid coverage (threads ⊇
-//! {1,2,4,8}, max n ≥ 2^20 — skipped when comparing against a
-//! baseline), and, with `--baseline-fmm`, a >10% regression gate on
-//! `evaluate_median_s` at every `(n, threads)` point both files share.
+//! `bench_snapshot --check-fmm FILE [--baseline-fmm BASE]` validates a
+//! snapshot with the in-tree JSON reader: shape, positive timings,
+//! per-size digest agreement (the bitwise thread-invariance claim),
+//! grid coverage (threads ⊇ {1,2,4,8}, max n ≥ 2^20 — skipped when
+//! comparing against a baseline), and, with `--baseline-fmm`, a >10%
+//! regression gate on `evaluate_median_s` at every `(n, threads)` point
+//! both files share.
 //!
 //! `bench_snapshot --governor FILE [--scale-shift K] [--seed S]` runs
 //! the phase-aware governor comparison (fitted model, 8 inputs × 8
@@ -343,22 +340,6 @@ fn check_fmm(path: &str, baseline: Option<&str>) {
             );
         }
     }
-}
-
-/// Parses a snapshot file with the in-tree JSON reader and checks its
-/// shape; exits non-zero on any mismatch.
-fn check(path: &str) {
-    let c = Checker::load("--check", path, "fmm_evaluate_phases");
-    let cases = c.arr_of(c.top(), "", "cases");
-    for case in cases {
-        let cf = c.as_obj(case, "case");
-        for key in ["n", "evaluate_median_s", "phase_medians_s"] {
-            if c.get(cf, key).is_none() {
-                c.fail(format!("case missing {key}"));
-            }
-        }
-    }
-    println!("bench_snapshot --check: {path} OK ({} cases)", cases.len());
 }
 
 /// Runs the governor policy comparison and writes the JSON artifact.
@@ -963,11 +944,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => {
-                let path = args.next().expect("--check needs a path");
-                check(&path);
-                return;
-            }
             "--check-fmm" => {
                 check_fmm_path = Some(args.next().expect("--check-fmm needs a path"));
             }

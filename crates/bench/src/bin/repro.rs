@@ -41,7 +41,6 @@ use dvfs_bench::report::{joules, pct, table};
 use dvfs_energy_model::experiments::{FMM_INPUTS, SYSTEM_SETTINGS};
 use dvfs_energy_model::{holdout_validation, leave_one_setting_out};
 use gpu_counters::TABLE3_EVENTS;
-use kifmm::Phase;
 
 const USAGE: &str = "\
 repro <artifact> [--scale-shift K] [--seed S]
@@ -589,25 +588,24 @@ fn roofline(ctx: &mut Context) {
 }
 
 fn governors(ctx: &mut Context) {
-    use tk1_sim::{Device, EnergyEstimates, Governor};
-    let model = ctx.model();
-    let profiles = ctx.profiles();
-    let kernels = profiles[0].1.kernels();
-    let estimates = EnergyEstimates {
-        c0_pj_per_v2: model.c0_pj_per_v2,
-        c1_proc_w_per_v: model.c1_proc_w_per_v,
-        c1_mem_w_per_v: model.c1_mem_w_per_v,
-        p_misc_w: model.p_misc_w,
+    use dvfs_governor::{
+        FixedSetting, GovernorRuntime, OnDemand, PerPhaseModel, Policy, RaceToHalt, Workload,
     };
-    let mut device = Device::new(ctx.seed ^ 0x60BE);
+    use tk1_sim::Setting;
+    let model = ctx.model();
+    let seed = ctx.seed ^ 0x60BE;
+    let workload = Workload::from_profile(&ctx.profiles()[0].1, 1);
     let mut body = Vec::new();
-    for (name, gov) in [
-        ("performance", Governor::Performance),
-        ("powersave", Governor::Powersave),
-        ("ondemand-0.95", Governor::OnDemand { threshold: 0.95 }),
-        ("model-based", Governor::ModelBased(estimates)),
-    ] {
-        let run = gov.run(&mut device, &kernels);
+    let policies: [(&str, Box<dyn Policy>); 4] = [
+        ("performance", Box::new(RaceToHalt)),
+        ("powersave", Box::new(FixedSetting(Setting::new(0, 0)))),
+        ("ondemand-0.95", Box::new(OnDemand { threshold: 0.95 })),
+        ("model-based", Box::new(PerPhaseModel::new())),
+    ];
+    for (name, mut policy) in policies {
+        // A fresh, identically seeded device per policy.
+        let mut runtime = GovernorRuntime::new(model.clone(), Setting::all().collect(), seed, None);
+        let run = runtime.run(&workload, policy.as_mut());
         body.push(vec![
             name.to_string(),
             format!("{:.3}", run.total_time_s),
@@ -944,11 +942,4 @@ fn csv_export(ctx: &mut Context) {
     let path = "dataset.csv";
     std::fs::write(path, &csv).expect("write dataset.csv");
     println!("wrote {} samples to {path}", dataset.len());
-}
-
-// Silence the unused-import lint for Phase, which is useful to keep for
-// readers grepping the harness.
-#[allow(dead_code)]
-fn _phases() -> [Phase; 6] {
-    Phase::ALL
 }

@@ -67,14 +67,11 @@ pub fn cloud(n: usize, seed: u64) -> (Vec<[f64; 3]>, Vec<f64>) {
 /// FNV-1a over the bit patterns of `potentials` — order-sensitive, so
 /// it pins both values and their layout.
 pub fn potential_digest(potentials: &[f64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = compat::hash::Fnv1a::new();
     for p in potentials {
-        for b in p.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        h.u64_bytes(p.to_bits());
     }
-    h
+    h.finish()
 }
 
 fn median(xs: &mut [f64]) -> f64 {

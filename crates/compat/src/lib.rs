@@ -33,11 +33,15 @@
 //! * [`env`] — typed accessors for the `FMM_ENERGY_*` environment
 //!   variables (not a shim; it lives here for the same reason as
 //!   [`error`] — every layer that reads a knob can name `compat`).
+//! * [`hash`] — the SplitMix64 mixer, keyed uniform draws and the
+//!   FNV-1a digest fold every seeded subsystem and committed digest
+//!   shares (not a shim; one copy for the whole workspace).
 
 pub mod bench;
 pub mod chan;
 pub mod env;
 pub mod error;
+pub mod hash;
 pub mod json;
 pub mod par;
 pub mod prop;

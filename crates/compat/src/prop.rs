@@ -550,12 +550,7 @@ mod imp {
     }
 
     pub(super) fn fnv1a(s: &str) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        crate::hash::Fnv1a::new().bytes(s.as_bytes()).finish()
     }
 
     fn run_one<V, F>(test: &F, value: V) -> Result<(), TestCaseError>

@@ -8,14 +8,15 @@
 //! streams on every platform: all arithmetic is wrapping integer math,
 //! so the sequences are bit-reproducible across architectures.
 
-/// One SplitMix64 step: advances `state` and returns the next output.
+use crate::hash::{mix64, unit_f64, PHI};
+
+/// One SplitMix64 step: advances `state` by φ and returns the mixed
+/// output ([`mix64`] adds the same φ before finalizing).
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let z = mix64(*state);
+    *state = state.wrapping_add(PHI);
+    z
 }
 
 /// A seedable xoshiro256++ generator.
@@ -36,7 +37,7 @@ impl StdRng {
         // SplitMix64 expansion cannot produce it from any seed, but keep
         // the guard in case of future direct-state constructors.
         if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s[0] = PHI;
         }
         StdRng { s }
     }
@@ -96,7 +97,7 @@ impl FromRng for f64 {
     #[inline]
     fn from_rng(rng: &mut StdRng) -> f64 {
         // 53 random mantissa bits / 2^53: uniform on [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
 }
 

@@ -185,6 +185,44 @@ impl Policy for RaceToHalt {
     }
 }
 
+/// The Linux `ondemand` heuristic, the system-level reactive governor
+/// the paper's model-based choice is contrasted with: per phase, the
+/// slowest candidate whose core-side and DRAM busy times both fit in
+/// the phase's busy time at the fastest candidate divided by
+/// `threshold` — the load a reactive governor converges to after a few
+/// sampling periods.  Each domain throttles only as far as its own
+/// load allows; no energy model is consulted.
+#[derive(Debug, Clone, Copy)]
+pub struct OnDemand {
+    /// Target utilization ceiling in `(0, 1]`.
+    pub threshold: f64,
+}
+
+impl Policy for OnDemand {
+    fn name(&self) -> &'static str {
+        "ondemand"
+    }
+    fn select(&mut self, ctx: &PhaseContext<'_>) -> Setting {
+        assert!(self.threshold > 0.0 && self.threshold <= 1.0, "threshold in (0, 1]");
+        let timing = ctx.predictor.timing;
+        let max = RaceToHalt.select(ctx);
+        let at_max = timing.execution_time(ctx.kernel, max);
+        let budget = (at_max.total_s - at_max.overhead_s).max(1e-12) / self.threshold;
+        // Core-side time scales with the core clock alone and DRAM time
+        // with the memory clock alone, so on a full grid the slowest
+        // fitting pair is each domain's slowest fitting clock.
+        ctx.candidates
+            .iter()
+            .copied()
+            .filter(|&s| {
+                let t = timing.execution_time(ctx.kernel, s);
+                t.fp_s.max(t.int_s).max(t.sm_l1_s).max(t.l2_s) <= budget && t.dram_s <= budget
+            })
+            .min_by_key(|s| (s.core_idx, s.mem_idx))
+            .unwrap_or(max)
+    }
+}
+
 /// Scores `s` for one phase: predicted phase energy plus the energy of
 /// switching there from `current`.  Staying put is always a candidate
 /// (its transition is free), so a switch only happens when the model
@@ -627,6 +665,65 @@ mod tests {
             }
             assert!(plan.predicted_total_j <= static_total + 1e-9, "beaten by {}", s.label());
         }
+    }
+
+    fn compute_kernel() -> KernelProfile {
+        KernelProfile::new(
+            "compute",
+            OpVector::from_pairs(&[(OpClass::FlopSp, 2e10), (OpClass::Dram, 1e6)]),
+        )
+    }
+
+    fn memory_kernel() -> KernelProfile {
+        KernelProfile::new(
+            "stream",
+            OpVector::from_pairs(&[(OpClass::FlopSp, 1e6), (OpClass::Dram, 5e8)]),
+        )
+    }
+
+    /// `policy`'s pick for `kernel` over the full TK1 grid, starting
+    /// from max performance.
+    fn pick(policy: &mut dyn Policy, kernel: &KernelProfile) -> Setting {
+        let model = toy_model();
+        let mut device = Device::new(42);
+        let transitions = TransitionModel::calibrate(&mut device);
+        let candidates: Vec<Setting> = Setting::all().collect();
+        let ctx = PhaseContext {
+            phase: Phase::U,
+            phase_idx: 0,
+            round: 0,
+            kernel,
+            current: Setting::max_performance(),
+            candidates: &candidates,
+            predictor: Predictor {
+                model: &model,
+                timing: device.timing_model(),
+                transitions: &transitions,
+            },
+        };
+        policy.select(&ctx)
+    }
+
+    #[test]
+    fn performance_pins_max_and_powersave_pins_min() {
+        assert_eq!(pick(&mut RaceToHalt, &compute_kernel()), Setting::max_performance());
+        let mut powersave = FixedSetting(Setting::new(0, 0));
+        assert_eq!(pick(&mut powersave, &compute_kernel()), Setting::new(0, 0));
+    }
+
+    #[test]
+    fn ondemand_throttles_the_idle_domain() {
+        let (top_core, top_mem) =
+            (tk1_sim::core_points().len() - 1, tk1_sim::mem_points().len() - 1);
+        let mut ondemand = OnDemand { threshold: 0.95 };
+        // Compute-bound: the memory domain can drop far below max.
+        let s = pick(&mut ondemand, &compute_kernel());
+        assert_eq!(s.core_idx, top_core, "core stays fast");
+        assert!(s.mem_idx < top_mem, "memory throttles");
+        // Memory-bound: the core domain throttles instead.
+        let s = pick(&mut ondemand, &memory_kernel());
+        assert!(s.core_idx < top_core, "core throttles");
+        assert_eq!(s.mem_idx, top_mem, "memory stays fast");
     }
 
     #[test]

@@ -319,7 +319,9 @@ impl GovernorRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FixedSetting, PerPhaseAdaptive, PerPhaseModel, RaceToHalt, StaticBest};
+    use crate::policy::{
+        FixedSetting, OnDemand, PerPhaseAdaptive, PerPhaseModel, RaceToHalt, StaticBest,
+    };
     use dvfs_energy_model::model::EnergyModel;
 
     /// A plausibly-close hand-written model (the real pipeline fits one
@@ -392,6 +394,7 @@ mod tests {
             Box::new(FixedSetting(Setting::new(8, 4))),
             Box::new(StaticBest::new()),
             Box::new(RaceToHalt),
+            Box::new(OnDemand { threshold: 0.95 }),
             Box::new(PerPhaseModel::new()),
             Box::new(PerPhaseAdaptive::new(0.5, 0.03)),
         ];
@@ -404,6 +407,39 @@ mod tests {
             let rec_transition: f64 = report.records.iter().map(|r| r.transition.energy_j).sum();
             assert!((rec_transition - report.transition_energy_j).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn ondemand_saves_energy_at_little_time_and_powersave_does_not() {
+        use tk1_sim::{OpClass, OpVector};
+        let task = |name: &str, pairs: &[(OpClass, f64)]| PhaseTask {
+            phase: Phase::U,
+            kernel: KernelProfile::new(name, OpVector::from_pairs(pairs)),
+        };
+        let wl = Workload {
+            tasks: vec![
+                task("compute", &[(OpClass::FlopSp, 2e10), (OpClass::Dram, 1e6)]),
+                task("stream", &[(OpClass::FlopSp, 1e6), (OpClass::Dram, 5e8)]),
+            ],
+            rounds: 1,
+        };
+        let run = |policy: &mut dyn Policy| {
+            GovernorRuntime::new(test_model(), Setting::all().collect(), 1, None).run(&wl, policy)
+        };
+        let fast = run(&mut RaceToHalt);
+        let ondemand = run(&mut OnDemand { threshold: 0.95 });
+        assert!(
+            ondemand.total_time_s <= fast.total_time_s * 1.10,
+            "throttling the idle domain costs little time: {} vs {}",
+            ondemand.total_time_s,
+            fast.total_time_s
+        );
+        assert!(ondemand.total_energy_j < fast.total_energy_j, "and saves energy");
+        let slow = run(&mut FixedSetting(Setting::new(0, 0)));
+        // Powersave lowers average power, but the crawl stretches
+        // constant energy so far that total energy is worse.
+        assert!(slow.total_energy_j / slow.total_time_s < fast.total_energy_j / fast.total_time_s);
+        assert!(slow.total_energy_j > fast.total_energy_j);
     }
 
     #[test]

@@ -20,12 +20,10 @@
 
 pub mod adc;
 pub mod monitor;
-pub mod planner;
 pub mod segment;
 pub mod trace;
 
 pub use adc::AdcModel;
 pub use monitor::{MeasuredExecution, PowerMon};
-pub use planner::{measure_until, MeasurePlan, MeasuredMean};
 pub use segment::{segment_trace, Segment, SegmentConfig};
 pub use trace::PowerTrace;

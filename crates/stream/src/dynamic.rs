@@ -44,9 +44,9 @@
 //! the update verifies defensively (any drift forces a rebuild rather
 //! than a wrong tree).
 
+use compat::hash::{keyed4, unit_f64};
 use kifmm::evaluator::{FmmPlan, M2lMethod};
 use kifmm::{morton, FmmEvaluator, SoaSources};
-use tk1_sim::mix64;
 
 // Salt constants: one hash channel per motion decision.
 const SALT_MOVE: u64 = 1;
@@ -76,15 +76,7 @@ impl MotionModel {
 
     /// A uniform draw in `[0, 1)` keyed by `(salt, step, particle)`.
     fn unit(&self, salt: u64, step: u64, particle: u64) -> f64 {
-        let h = mix64(
-            self.seed
-                ^ mix64(
-                    salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ mix64(step)
-                        ^ mix64(particle.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
-                ),
-        );
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        unit_f64(keyed4(self.seed, salt, step, particle))
     }
 
     /// Whether particle `i` moves in `step`.
@@ -695,9 +687,11 @@ mod tests {
             for _ in 0..5 {
                 outcomes.push(dt.advance(&motion));
                 let pot = dt.evaluate();
-                digests.push(pot.iter().fold(0xcbf29ce484222325u64, |h, p| {
-                    (h ^ p.to_bits()).wrapping_mul(0x100000001b3)
-                }));
+                let mut h = compat::hash::Fnv1a::new();
+                for p in &pot {
+                    h.word(p.to_bits());
+                }
+                digests.push(h.finish());
             }
             match &reference {
                 None => reference = Some((outcomes, digests)),

@@ -27,6 +27,7 @@ use crate::arbiter::DeviceArbiter;
 use crate::dynamic::{DynamicConfig, DynamicOctree, MotionModel};
 use crate::traffic::{stream_digest, ClassMix, StreamRequest, TrafficConfig};
 use crate::StreamConfig;
+use compat::hash::Fnv1a;
 use compat::rng::StdRng;
 use dvfs_energy_model::EnergyModel;
 use dvfs_governor::{
@@ -43,21 +44,6 @@ const DEVICE_SALT: u64 = 0x60BE_12D0;
 /// The pinned problem classes: `(name, n, q, weight)`.
 const CLASSES: [(&str, usize, usize, f64); 3] =
     [("small", 512, 32, 3.0), ("medium", 1024, 48, 2.0), ("large", 2048, 64, 1.0)];
-
-/// FNV-1a accumulator for the suite's bit-exact digests.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn eat_f64(&mut self, v: f64) {
-        self.eat(v.to_bits());
-    }
-}
 
 /// The drift scenario's accounting.
 #[derive(Debug, Clone, Copy)]
@@ -206,11 +192,15 @@ pub fn run_suite(model: &EnergyModel, cfg: &StreamConfig) -> StreamSuiteReport {
     let burst = run_burst(model, cfg, &candidates, &classes, t_ref);
     let tenants = run_tenants(model, cfg, &candidates, &classes, t_ref);
 
-    let mut d = Digest::new();
-    d.eat(drift.potential_digest);
-    d.eat(burst.digest);
-    d.eat(tenants.digest);
-    StreamSuiteReport { threads: compat::par::num_threads(), drift, burst, tenants, digest: d.0 }
+    let mut d = Fnv1a::new();
+    d.word(drift.potential_digest).word(burst.digest).word(tenants.digest);
+    StreamSuiteReport {
+        threads: compat::par::num_threads(),
+        drift,
+        burst,
+        tenants,
+        digest: d.finish(),
+    }
 }
 
 /// Drift: incremental maintenance under gentle motion, each step's
@@ -224,13 +214,13 @@ fn run_drift(model: &EnergyModel, cfg: &StreamConfig, candidates: &[Setting]) ->
         GovernorRuntime::new(model.clone(), candidates.to_vec(), cfg.seed ^ 0xD21F7, None);
     let cost = CostModel::default();
 
-    let mut digest = Digest::new();
+    let mut digest = Fnv1a::new();
     let mut energy_j = 0.0;
     let mut time_s = 0.0;
     for _ in 0..cfg.steps {
         dt.advance(&motion);
         for p in dt.evaluate() {
-            digest.eat_f64(p);
+            digest.word(p.to_bits());
         }
         let profile = profile_plan(dt.plan(), &cost);
         let workload = Workload::from_profile(&profile, 1);
@@ -246,7 +236,7 @@ fn run_drift(model: &EnergyModel, cfg: &StreamConfig, candidates: &[Setting]) ->
         migrants: stats.migrants,
         energy_j,
         time_s,
-        potential_digest: digest.0,
+        potential_digest: digest.finish(),
     }
 }
 
@@ -284,7 +274,7 @@ fn run_burst(
     let requests = traffic.generate(&mix, cfg.requests);
     let arbiter = DeviceArbiter::new(model, candidates.to_vec(), cfg.seed ^ 0xB1257, None);
 
-    let mut digest = Digest::new();
+    let mut digest = Fnv1a::new();
     let mut windows = Vec::new();
     let mut energy_j = 0.0;
     let mut static_best_j = 0.0;
@@ -325,14 +315,14 @@ fn run_burst(
                 misses += 1;
             }
             span = span.max(out.completion_s);
-            digest.eat_f64(out.completion_s);
+            digest.word(out.completion_s.to_bits());
         }
         clock_s = start + span;
         energy_j += result.arbitrated.energy_j();
         static_best_j += result.static_best.energy_j();
         race_to_halt_j += result.race_to_halt.energy_j();
-        digest.eat_f64(start);
-        digest.eat_f64(result.arbitrated.energy_j());
+        digest.word(start.to_bits());
+        digest.word(result.arbitrated.energy_j().to_bits());
         windows.push(WindowOutcome {
             start_s: start,
             requests: window.len(),
@@ -353,7 +343,7 @@ fn run_burst(
         max_latency_s: latency_max,
         makespan_s: clock_s,
         stream_digest: stream_digest(&requests),
-        digest: digest.0,
+        digest: digest.finish(),
     }
 }
 
@@ -378,11 +368,11 @@ fn run_tenants(
     let arbiter = DeviceArbiter::new(model, candidates.to_vec(), cfg.seed ^ 0x7E4A27, None);
     let result = arbiter.run(&jobs);
 
-    let mut digest = Digest::new();
+    let mut digest = Fnv1a::new();
     for run in [&result.arbitrated, &result.static_best, &result.race_to_halt] {
-        digest.eat_f64(run.energy_j());
+        digest.word(run.energy_j().to_bits());
         for o in &run.outcomes {
-            digest.eat_f64(o.completion_s);
+            digest.word(o.completion_s.to_bits());
         }
     }
     TenantReport {
@@ -394,6 +384,6 @@ fn run_tenants(
         static_best_j: result.static_best.energy_j(),
         race_to_halt_j: result.race_to_halt.energy_j(),
         deadline_misses: result.arbitrated.misses(),
-        digest: digest.0,
+        digest: digest.finish(),
     }
 }

@@ -8,13 +8,13 @@
 //! measured under.
 //!
 //! Like the fault injector (`tk1_sim::faults`), the generator keeps no
-//! RNG state: every field of request `k` is a [`mix64`] hash of
-//! `(seed, salt, k)`.  The stream is therefore a pure function of its
-//! config — bitwise identical at any thread count, and any request can
-//! be re-derived in isolation — which is what lets the bench digest a
-//! whole scenario and compare it across 1/2/4/8 threads.
+//! RNG state: every field of request `k` is a [`compat::hash::keyed`]
+//! hash of `(seed, salt, k)`.  The stream is therefore a pure function
+//! of its config — bitwise identical at any thread count, and any
+//! request can be re-derived in isolation — which is what lets the
+//! bench digest a whole scenario and compare it across 1/2/4/8 threads.
 
-use tk1_sim::mix64;
+use compat::hash::{keyed, unit_f64, Fnv1a};
 
 // Hash channels, one per decision kind.
 const SALT_GAP: u64 = 11;
@@ -71,8 +71,7 @@ pub struct StreamRequest {
 impl TrafficConfig {
     /// A uniform draw in `[0, 1)` keyed by `(salt, k)`.
     fn unit(&self, salt: u64, k: u64) -> f64 {
-        let h = mix64(self.seed ^ mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mix64(k)));
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        unit_f64(keyed(self.seed, salt, k))
     }
 
     /// Generates the first `count` requests of the stream.
@@ -134,17 +133,12 @@ impl TrafficConfig {
 /// FNV-1a digest over the stream's bit-exact content — the
 /// thread-invariance witness recorded in `BENCH_stream.json`.
 pub fn stream_digest(requests: &[StreamRequest]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a::new();
     for r in requests {
-        eat(r.id as u64);
-        eat(r.class as u64);
-        eat(r.arrival_s.to_bits());
-        eat(r.deadline_s.to_bits());
+        h.word(r.id as u64).word(r.class as u64);
+        h.word(r.arrival_s.to_bits()).word(r.deadline_s.to_bits());
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

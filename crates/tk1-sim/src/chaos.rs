@@ -50,7 +50,8 @@
 //! unset/`off`/`0` → no chaos; `default`/`on`/`1` → the default
 //! profile; comma-separated `key=value` overrides, plus `seed=N`.
 
-use crate::faults::{mix64, FaultConfig, FaultRates};
+use crate::faults::{FaultConfig, FaultRates};
+use compat::hash::{keyed, mix64, unit_f64};
 use std::time::Duration;
 
 /// Per-mechanism chaos probabilities (each an independent draw per
@@ -207,8 +208,9 @@ const SALT_STORM: u64 = 0xC4_02;
 const SALT_CORRUPT: u64 = 0xC4_03;
 
 /// Stateless hash-keyed chaos decisions.  Mirrors `FaultInjector`: a
-/// draw is `mix64(key ^ salt ^ subject)` scaled to `[0, 1)`, so every
-/// decision is a pure function of (seed, mechanism, subject).
+/// draw is [`compat::hash::keyed`]`(key, salt, subject)` scaled to
+/// `[0, 1)`, so every decision is a pure function of (seed, mechanism,
+/// subject).
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosInjector {
     key: u64,
@@ -223,8 +225,7 @@ impl ChaosInjector {
 
     /// Uniform draw in `[0, 1)` keyed by (mechanism salt, subject).
     fn unit(&self, salt: u64, subject: u64) -> f64 {
-        let h = mix64(self.key ^ mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mix64(subject)));
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(keyed(self.key, salt, subject))
     }
 
     /// The worker-side fate of one (request, attempt).  `subject` is

@@ -7,6 +7,7 @@
 //! can sample — mirroring how the paper's measurements flow from the
 //! PowerMon 2 device sitting between the supply and the board.
 
+use compat::hash::{unit_f64, Fnv1a};
 use std::sync::Arc;
 
 use crate::dvfs::Setting;
@@ -276,22 +277,13 @@ impl Device {
 /// Deterministic pseudo-random value in `[-1, 1]` from a kernel name and
 /// a pair of salts (FNV-1a over the inputs).
 fn hash_unit(name: &str, salt_a: usize, salt_b: usize) -> f64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for b in name.bytes() {
-        eat(b);
-    }
-    for b in (salt_a as u64).to_le_bytes() {
-        eat(b);
-    }
-    for b in (salt_b as u64).to_le_bytes() {
-        eat(b);
-    }
+    let h = Fnv1a::new()
+        .bytes(name.as_bytes())
+        .u64_bytes(salt_a as u64)
+        .u64_bytes(salt_b as u64)
+        .finish();
     // Map the top 53 bits to [0, 1), then to [-1, 1].
-    ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+    unit_f64(h) * 2.0 - 1.0
 }
 
 /// The realized execution of one kernel.

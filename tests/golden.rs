@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use compat::json::{Json, ToJson};
-use dvfs_bench::pipeline::{fig5_validation, fitted_model, fmm_profiles, table2_outcomes};
+use dvfs_bench::pipeline::{fig5_validation, fmm_profiles, table2_outcomes};
 use dvfs_energy_model::{AutotuneOutcome, EnergyModel, ErrorStats};
 
 /// Master seed of the golden pipeline run (sweep, autotune, FMM cases).
