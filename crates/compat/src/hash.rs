@@ -52,16 +52,10 @@ pub fn unit_f64(h: u64) -> f64 {
 /// while [`Fnv1a::word`] folds a whole 64-bit word per multiply.  They
 /// give different digests for the same value, so each call site keeps
 /// the feed its digest was recorded with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
 
 impl Fnv1a {
     /// The empty digest (the FNV-1a offset basis).

@@ -323,6 +323,7 @@ mod tests {
         FixedSetting, OnDemand, PerPhaseAdaptive, PerPhaseModel, RaceToHalt, StaticBest,
     };
     use dvfs_energy_model::model::EnergyModel;
+    use tk1_sim::{OpClass, OpVector};
 
     /// A plausibly-close hand-written model (the real pipeline fits one
     /// from sweeps; unit tests only need sane relative ordering).
@@ -336,7 +337,6 @@ mod tests {
     }
 
     fn test_workload() -> Workload {
-        use tk1_sim::{OpClass, OpVector};
         let flops = OpVector::from_pairs(&[(OpClass::FlopSp, 6.0e8), (OpClass::L1, 1.0e7)]);
         let mem = OpVector::from_pairs(&[(OpClass::Dram, 4.0e7), (OpClass::FlopSp, 1.0e7)]);
         Workload {
@@ -409,13 +409,13 @@ mod tests {
         }
     }
 
+    /// A `U`-phase task running the given operation counts.
+    fn task(name: &str, pairs: &[(OpClass, f64)]) -> PhaseTask {
+        PhaseTask { phase: Phase::U, kernel: KernelProfile::new(name, OpVector::from_pairs(pairs)) }
+    }
+
     #[test]
     fn ondemand_saves_energy_at_little_time_and_powersave_does_not() {
-        use tk1_sim::{OpClass, OpVector};
-        let task = |name: &str, pairs: &[(OpClass, f64)]| PhaseTask {
-            phase: Phase::U,
-            kernel: KernelProfile::new(name, OpVector::from_pairs(pairs)),
-        };
         let wl = Workload {
             tasks: vec![
                 task("compute", &[(OpClass::FlopSp, 2e10), (OpClass::Dram, 1e6)]),
@@ -440,6 +440,48 @@ mod tests {
         // constant energy so far that total energy is worse.
         assert!(slow.total_energy_j / slow.total_time_s < fast.total_energy_j / fast.total_time_s);
         assert!(slow.total_energy_j > fast.total_energy_j);
+    }
+
+    #[test]
+    fn model_based_policy_wins_on_energy() {
+        let compute = [(OpClass::FlopSp, 2e10), (OpClass::Dram, 1e6)];
+        let wl = Workload {
+            tasks: vec![
+                task("compute", &compute),
+                task("stream", &[(OpClass::FlopSp, 1e6), (OpClass::Dram, 5e8)]),
+                task("compute", &compute),
+            ],
+            rounds: 1,
+        };
+        // The model holds the device's own constants, so only the
+        // activity nonlinearity and thermal feedback it does not model
+        // separate its predictions from the measurements.
+        let mk =
+            |model: EnergyModel| GovernorRuntime::new(model, Setting::all().collect(), 3, None);
+        let t = mk(test_model()).device().ground_truth().clone();
+        let model = EnergyModel {
+            c0_pj_per_v2: t.c0_pj_per_v2,
+            c1_proc_w_per_v: t.c1_proc_w_per_v,
+            c1_mem_w_per_v: t.c1_mem_w_per_v,
+            p_misc_w: t.p_misc_w,
+        };
+        let run = |policy: &mut dyn Policy| mk(model.clone()).run(&wl, policy);
+        let chosen = run(&mut PerPhaseModel::new());
+        let others: [&mut dyn Policy; 3] = [
+            &mut RaceToHalt,
+            &mut FixedSetting(Setting::new(0, 0)),
+            &mut OnDemand { threshold: 0.95 },
+        ];
+        for other in others {
+            let other = run(other);
+            assert!(
+                chosen.total_energy_j <= other.total_energy_j * 1.001,
+                "model-based {} J vs {} {} J",
+                chosen.total_energy_j,
+                other.policy,
+                other.total_energy_j
+            );
+        }
     }
 
     #[test]
